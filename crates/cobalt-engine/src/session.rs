@@ -38,26 +38,14 @@ use crate::engine::Engine;
 use crate::resilient::{FailureKind, PassFailure, PipelineReport};
 use cobalt_dsl::{Optimization, PureAnalysis};
 use cobalt_il::{parse_program, pretty_proc, Proc, Program};
-use cobalt_support::fault;
-use cobalt_support::journal::{
-    escape_field, unescape_field, Fnv64, Journal, LoadReport, LockOutcome, ResumeMode,
-};
+use cobalt_support::journal::{Fnv64, Keep, LoadReport, ResumeMode, Store, DEFAULT_LOCK_WAIT};
 use cobalt_support::pool::{self, Cancel, TaskResult};
-use std::collections::HashMap;
 use std::path::Path;
-use std::time::Duration;
-
-/// How long [`OptimizeSession::with_journal`] waits for the journal's
-/// advisory lock before degrading to unjournaled optimization.
-pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_secs(5);
 
 /// Version tag mixed into every fingerprint; bump on any change to the
 /// fingerprint inputs or the record format so stale journals invalidate
 /// wholesale instead of aliasing.
 const FINGERPRINT_VERSION: &str = "cobalt-engine-fp-v1";
-
-/// Record format version written as each record's first field.
-const RECORD_VERSION: &str = "v1";
 
 /// Stable content fingerprint of one procedure's optimization pipeline.
 ///
@@ -87,77 +75,19 @@ pub fn fingerprint_proc(
     h.finish()
 }
 
-/// One journaled procedure outcome, as parsed back from a record. Only
-/// *clean* pipelines (no quarantined passes) are journaled, so a cached
-/// replay never hides a degradation note.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct JournalEntry {
-    pub fingerprint: u64,
-    pub proc: String,
-    pub applied: usize,
-    pub rounds: usize,
-    /// The optimized procedure, pretty-printed (re-parseable — the
-    /// round trip is pinned by the IL tests).
-    pub body: String,
-}
-
-impl JournalEntry {
-    /// Encodes the entry as a journal payload: tab-separated
-    /// `key=value` fields behind a version tag, values escaped.
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{RECORD_VERSION}\tfp={:016x}\tproc={}\tapplied={}\trounds={}\tbody={}",
-            self.fingerprint,
-            escape_field(&self.proc),
-            self.applied,
-            self.rounds,
-            escape_field(&self.body),
-        )
-        .into_bytes()
+cobalt_support::journal_record! {
+    /// One journaled procedure outcome. Only *clean* pipelines (no
+    /// quarantined passes) are journaled, so a cached replay never hides
+    /// a degradation note.
+    #[derive(Debug, Clone)]
+    struct JournalEntry {
+        proc: String = "proc",
+        applied: usize = "applied",
+        rounds: usize = "rounds",
+        /// The optimized procedure, pretty-printed (re-parseable — the
+        /// round trip is pinned by the IL tests).
+        body: String = "body",
     }
-
-    /// Decodes a journal payload. `None` for records of an unknown
-    /// version or shape — such records are *skipped* (treated as not
-    /// cached), never trusted and never fatal.
-    pub fn decode(payload: &[u8]) -> Option<JournalEntry> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut fields = text.split('\t');
-        if fields.next()? != RECORD_VERSION {
-            return None;
-        }
-        let mut entry = JournalEntry {
-            fingerprint: 0,
-            proc: String::new(),
-            applied: 0,
-            rounds: 0,
-            body: String::new(),
-        };
-        let mut seen = 0u32;
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "fp" => entry.fingerprint = u64::from_str_radix(value, 16).ok()?,
-                "proc" => entry.proc = unescape_field(value)?,
-                "applied" => entry.applied = value.parse().ok()?,
-                "rounds" => entry.rounds = value.parse().ok()?,
-                "body" => entry.body = unescape_field(value)?,
-                _ => continue, // forward-compatible: unknown keys ignored
-            }
-            seen += 1;
-        }
-        if seen < 5 {
-            return None;
-        }
-        Some(entry)
-    }
-}
-
-/// A cached record plus its exact on-disk payload (kept so unchanged
-/// outcomes are carried into the compacted journal byte-for-byte).
-#[derive(Debug, Clone)]
-struct Cached {
-    entry: JournalEntry,
-    raw: Vec<u8>,
 }
 
 /// A resumable, parallel optimization session. See the
@@ -166,14 +96,7 @@ struct Cached {
 pub struct OptimizeSession {
     engine: Engine,
     jobs: usize,
-    journal: Option<Journal>,
-    cache: HashMap<u64, Cached>,
-    /// Payloads belonging to this session's outcomes (reused raw
-    /// records and fresh appends, in procedure order); what
-    /// [`finish`](Self::finish) compacts the journal down to.
-    session_payloads: Vec<Vec<u8>>,
-    loaded: LoadReport,
-    degraded: Option<String>,
+    store: Store<JournalEntry>,
 }
 
 impl OptimizeSession {
@@ -184,11 +107,7 @@ impl OptimizeSession {
         OptimizeSession {
             engine,
             jobs: 1,
-            journal: None,
-            cache: HashMap::new(),
-            session_payloads: Vec::new(),
-            loaded: LoadReport::default(),
-            degraded: None,
+            store: Store::in_memory(),
         }
     }
 
@@ -212,76 +131,29 @@ impl OptimizeSession {
     /// laxer than the verification session's typed open error: a
     /// missing optimization cache must never block compilation.
     #[must_use]
-    pub fn with_journal(self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
-        self.with_journal_wait(path, mode, DEFAULT_LOCK_WAIT)
-    }
-
-    /// [`with_journal`](Self::with_journal) with an explicit lock-wait
-    /// budget (tests and impatient callers).
-    #[must_use]
-    pub fn with_journal_wait(
-        mut self,
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-        lock_wait: Duration,
-    ) -> OptimizeSession {
-        if let Err(e) = fault::point_err("engine.journal") {
-            self.degraded = Some(format!("journal unavailable ({e})"));
-            return self;
-        }
-        let mut opened = match Journal::open_locked(path, lock_wait) {
-            Ok(LockOutcome::Acquired(opened)) => opened,
-            Ok(LockOutcome::Contended { reason }) => {
-                self.degraded = Some(format!("journal lock unavailable ({reason})"));
-                return self;
-            }
-            Err(e) => {
-                self.degraded = Some(format!("journal unavailable ({e})"));
-                return self;
-            }
-        };
-        match mode {
-            ResumeMode::Fresh => {
-                if let Err(e) = opened.journal.compact(&[] as &[&[u8]]) {
-                    self.degraded = Some(format!("journal reset failed ({e})"));
-                    return self;
-                }
-                opened.report = LoadReport::default();
-            }
-            ResumeMode::Resume => {
-                for raw in &opened.records {
-                    // Later records win: a record appended after an
-                    // older result for the same pipeline supersedes it.
-                    if let Some(entry) = JournalEntry::decode(raw) {
-                        self.cache.insert(
-                            entry.fingerprint,
-                            Cached {
-                                entry,
-                                raw: raw.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        self.loaded = opened.report;
-        self.journal = Some(opened.journal);
+    pub fn with_journal(mut self, path: impl AsRef<Path>, mode: ResumeMode) -> OptimizeSession {
+        self.store = Store::open_or_degrade(
+            path.as_ref(),
+            mode,
+            DEFAULT_LOCK_WAIT,
+            Some("engine.journal"),
+        );
         self
     }
 
     /// Why the session is running unjournaled, if it is.
     pub fn degraded(&self) -> Option<&str> {
-        self.degraded.as_deref()
+        self.store.degraded()
     }
 
     /// What the journal loader found on disk (corruption statistics).
     pub fn load_report(&self) -> &LoadReport {
-        &self.loaded
+        self.store.load_report()
     }
 
     /// Whether a journal is attached and healthy.
     pub fn is_journaled(&self) -> bool {
-        self.journal.is_some()
+        self.store.is_journaled()
     }
 
     /// Optimizes every procedure of `program` with per-pass fault
@@ -299,53 +171,51 @@ impl OptimizeSession {
         opts: &[Optimization],
         max_rounds: usize,
     ) -> (Program, PipelineReport) {
-        let n = program.procs.len();
         let mut out = program.clone();
         let mut report = PipelineReport::default();
-        // One compacted payload slot per procedure, filled by cached
-        // replays now and clean fresh results in the delivery sink —
-        // procedure order regardless of jobs, so compaction bytes are
-        // deterministic.
-        let mut payload_slots: Vec<Option<Vec<u8>>> = vec![None; n];
-
         let max_steps = self.engine.budget().max_steps();
         let lint = self.engine.lint_prepass_enabled();
+        // This session's records, one slot per procedure: replayed hits
+        // now, clean fresh results in the delivery sink. Kept in
+        // procedure order, so compaction bytes are deterministic at any
+        // jobs count.
+        let mut kept: Vec<Option<u64>> = vec![None; program.procs.len()];
         let mut tasks: Vec<(usize, u64, Proc)> = Vec::new();
         for (i, proc) in program.procs.iter().enumerate() {
             let fp = fingerprint_proc(proc, analyses, opts, max_rounds, lint, max_steps);
-            if let Some(replayed) = self.cache.get(&fp).and_then(|c| replay(proc, c)) {
-                out = out.with_proc_replaced(replayed.0);
-                report.absorb(replayed.1);
-                payload_slots[i] = Some(self.cache[&fp].raw.clone());
+            if let Some((optimized, rep)) = self.store.get(fp).and_then(|e| replay(proc, e)) {
+                out = out.with_proc_replaced(optimized);
+                report.absorb(rep);
+                kept[i] = Some(fp);
                 continue;
             }
             tasks.push((i, fp, proc.clone()));
         }
 
         if !tasks.is_empty() {
-            // Cooperative cancellation shares the budget's flag (if
-            // any), so a CLI-level cancel and a pool-level cancel are
-            // one signal every meter observes.
-            let cancel = match self.engine.budget().cancel_flag() {
-                Some(flag) => Cancel::from_flag(flag),
-                None => Cancel::new(),
-            };
+            // The fleet runs on a child of the caller's token: a caller
+            // trip still stands every worker down, but the fleet's own
+            // deadline trip below never writes the caller's token.
+            let cancel = self
+                .engine
+                .budget()
+                .cancel()
+                .map_or_else(Cancel::new, Cancel::child);
             let meta: Vec<(usize, u64, String)> = tasks
                 .iter()
                 .map(|(i, fp, p)| (*i, *fp, p.name.to_string()))
                 .collect();
             let engine = self.engine.clone();
-            let analyses_ref = analyses;
-            let opts_ref = opts;
+            let store = &mut self.store;
             pool::run_ordered(
                 self.jobs,
                 tasks,
                 &cancel,
                 |_idx, (_, _, proc), cancel| {
-                    let budget = engine.budget().fork().with_cancel(cancel.flag());
+                    let budget = engine.budget().fork().with_cancel(cancel.clone());
                     let worker = engine.clone().with_budget(budget);
                     let (optimized, rep) =
-                        worker.optimize_proc_resilient(proc, analyses_ref, opts_ref, max_rounds);
+                        worker.optimize_proc_resilient(proc, analyses, opts, max_rounds);
                     // A blown wall-clock deadline is fatal to the whole
                     // run (the deadline is absolute and shared): cancel
                     // the fleet instead of letting every remaining
@@ -361,17 +231,15 @@ impl OptimizeSession {
                     let (i, fp, name) = &meta[idx];
                     match result {
                         TaskResult::Done((optimized, rep)) => {
-                            if rep.failures.is_empty() {
+                            if rep.failures.is_empty() && store.is_journaled() {
                                 let entry = JournalEntry {
-                                    fingerprint: *fp,
                                     proc: name.clone(),
                                     applied: rep.applied,
                                     rounds: rep.rounds,
                                     body: pretty_proc(&optimized),
                                 };
-                                let payload = entry.encode();
-                                self.append(&payload);
-                                payload_slots[*i] = Some(payload);
+                                store.append(*fp, entry);
+                                kept[*i] = Some(*fp);
                             }
                             out = out.with_proc_replaced(optimized);
                             report.absorb(rep);
@@ -395,37 +263,17 @@ impl OptimizeSession {
                 },
             );
         }
-
-        self.session_payloads
-            .extend(payload_slots.into_iter().flatten());
-        (out, report)
-    }
-
-    /// Appends one record (with fsync), degrading to unjournaled on any
-    /// trouble — a sick disk must not change what the optimizer emits.
-    fn append(&mut self, payload: &[u8]) {
-        let Some(journal) = self.journal.as_mut() else {
-            return;
-        };
-        let wrote = fault::point_err("engine.journal")
-            .map_err(std::io::Error::other)
-            .and_then(|()| journal.append(payload))
-            .and_then(|()| journal.sync());
-        if let Err(e) = wrote {
-            self.degraded = Some(format!("journal write failed ({e}); continuing unjournaled"));
-            self.journal = None;
+        for fp in kept.into_iter().flatten() {
+            self.store.keep(fp);
         }
+        (out, report)
     }
 
     /// Compacts the journal down to this session's outcomes and
     /// releases it. Compaction failure degrades (the appended records
     /// are still on disk and loadable); it never affects results.
     pub fn finish(&mut self) {
-        if let Some(mut journal) = self.journal.take() {
-            if let Err(e) = journal.compact(&self.session_payloads) {
-                self.degraded = Some(format!("journal compaction failed ({e})"));
-            }
-        }
+        self.store.finish(Keep::Session);
     }
 }
 
@@ -433,18 +281,18 @@ impl OptimizeSession {
 /// and synthesizes the clean report. `None` (fall through to a fresh
 /// run) if the record does not actually describe this procedure or its
 /// body no longer parses.
-fn replay(proc: &Proc, cached: &Cached) -> Option<(Proc, PipelineReport)> {
-    if cached.entry.proc != proc.name.to_string() {
+fn replay(proc: &Proc, entry: &JournalEntry) -> Option<(Proc, PipelineReport)> {
+    if entry.proc != proc.name.to_string() {
         return None;
     }
-    let parsed = parse_program(&cached.entry.body).ok()?;
+    let parsed = parse_program(&entry.body).ok()?;
     let replayed = parsed.procs.into_iter().next()?;
     if replayed.name != proc.name {
         return None;
     }
     let report = PipelineReport {
-        applied: cached.entry.applied,
-        rounds: cached.entry.rounds,
+        applied: entry.applied,
+        rounds: entry.rounds,
         cached: 1,
         failures: Vec::new(),
     };
@@ -458,28 +306,6 @@ mod tests {
 
     fn proc_of(src: &str) -> Proc {
         parse_program(src).unwrap().procs.remove(0)
-    }
-
-    #[test]
-    fn record_codec_round_trips() {
-        let entry = JournalEntry {
-            fingerprint: 0xDEAD_BEEF_0BA1_7000,
-            proc: "weird\tname\nwith\\escapes".into(),
-            applied: 7,
-            rounds: 3,
-            body: "proc main(x) {\n    /* 0 */ return x;\n}\n".into(),
-        };
-        let decoded = JournalEntry::decode(&entry.encode()).unwrap();
-        assert_eq!(decoded, entry);
-    }
-
-    #[test]
-    fn unknown_versions_and_garbage_decode_to_none() {
-        assert!(JournalEntry::decode(b"v0\tfp=00").is_none());
-        assert!(JournalEntry::decode(b"not a record").is_none());
-        assert!(JournalEntry::decode(&[0xFF, 0xFE]).is_none());
-        // Missing required fields.
-        assert!(JournalEntry::decode(b"v1\tfp=0000000000000001").is_none());
     }
 
     #[test]
@@ -497,22 +323,18 @@ mod tests {
     #[test]
     fn replay_rejects_name_mismatch_and_bad_bodies() {
         let p = proc_of("proc main(x) { return x; }");
-        let good = Cached {
-            entry: JournalEntry {
-                fingerprint: 1,
-                proc: "main".into(),
-                applied: 0,
-                rounds: 1,
-                body: "proc main(x) { return x; }".into(),
-            },
-            raw: Vec::new(),
+        let good = JournalEntry {
+            proc: "main".into(),
+            applied: 0,
+            rounds: 1,
+            body: "proc main(x) { return x; }".into(),
         };
         assert!(replay(&p, &good).is_some());
         let mut wrong_name = good.clone();
-        wrong_name.entry.proc = "other".into();
+        wrong_name.proc = "other".into();
         assert!(replay(&p, &wrong_name).is_none());
         let mut bad_body = good;
-        bad_body.entry.body = "not a program".into();
+        bad_body.body = "not a program".into();
         assert!(replay(&p, &bad_body).is_none());
     }
 

@@ -23,9 +23,9 @@ use crate::cc::Cc;
 use crate::formula::Formula;
 use crate::term::{Sym, TermBank, TermData, TermId};
 use cobalt_support::fault;
+use cobalt_support::pool::Cancel;
 use cobalt_support::{FastMap, FastSet};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,81 +60,38 @@ impl Default for Limits {
     }
 }
 
-/// A cooperative resource budget for proof search, complementing the
-/// structural caps in [`Limits`]: a wall-clock deadline, an optional
-/// step cap (each search-loop iteration, asserted formula, split, and
-/// generated instance counts as one step), and a cancel flag an outside
-/// thread may set to abandon the search at the next check.
-///
-/// Exhausting any of these produces a resource-limit
-/// [`Outcome::Unknown`] — bounded effort is a report, never a crash.
-#[derive(Debug, Clone, Default)]
-pub struct Budget {
-    /// Wall-clock deadline for one `prove` call. When [`Limits`] also
-    /// carries a deadline, the smaller of the two wins.
-    pub deadline: Option<Duration>,
-    /// Maximum number of search steps.
-    pub max_steps: Option<u64>,
-    /// Cooperative cancellation: set to `true` from any thread to make
-    /// the search give up at its next budget check.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl Budget {
-    /// A budget with only a wall-clock deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Budget {
-            deadline: Some(deadline),
-            ..Budget::default()
-        }
-    }
-}
-
-/// How often (in steps) the meter consults the clock and cancel flag;
+/// How often (in steps) the meter consults the clock and cancel token;
 /// structural caps are checked on every step.
 const METER_CHECK_INTERVAL: u64 = 16;
 
-/// Runtime state of a [`Budget`] during one `prove` call.
+/// Runtime state of one `prove` call's deadline and cancellation.
 struct Meter {
     start: Instant,
     deadline: Option<Instant>,
-    max_steps: Option<u64>,
     steps: u64,
-    cancel: Option<Arc<AtomicBool>>,
+    cancel: Option<Cancel>,
 }
 
 impl Meter {
-    fn new(start: Instant, limits: &Limits, budget: &Budget) -> Self {
-        let duration = match (limits.deadline, budget.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+    fn new(start: Instant, limits: &Limits, cancel: Option<&Cancel>) -> Self {
         Meter {
             start,
-            deadline: duration.and_then(|d| start.checked_add(d)),
-            max_steps: budget.max_steps,
+            deadline: limits.deadline.and_then(|d| start.checked_add(d)),
             steps: 0,
-            cancel: budget.cancel.clone(),
+            cancel: cancel.cloned(),
         }
     }
 
     /// Advances the meter by one step; returns the give-up reason once
-    /// the budget is exhausted.
+    /// the deadline passed or the caller cancelled.
     fn tick(&mut self) -> Option<String> {
         self.steps += 1;
-        if let Some(cap) = self.max_steps {
-            if self.steps > cap {
-                return Some(format!("step cap of {cap} exceeded"));
-            }
-        }
-        if self.steps == 1 || self.steps % METER_CHECK_INTERVAL == 0 {
-            if let Some(flag) = &self.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    return Some(format!(
-                        "cancelled by caller after {:.1?}",
-                        self.start.elapsed()
-                    ));
-                }
+        if self.steps == 1 || self.steps.is_multiple_of(METER_CHECK_INTERVAL) {
+            if self.cancel.as_ref().is_some_and(Cancel::is_tripped) {
+                return Some(format!(
+                    "cancelled by caller after {:.1?}",
+                    self.start.elapsed()
+                ));
             }
             if let Some(deadline) = self.deadline {
                 if Instant::now() >= deadline {
@@ -297,7 +254,7 @@ pub struct Solver {
     /// terms directly in it.
     pub bank: TermBank,
     limits: Limits,
-    budget: Budget,
+    cancel: Option<Cancel>,
     skolem_counter: u64,
     /// Congruence-closure context kept warm between `prove` calls.
     /// The permanent (below-savepoint) layer only ever registers bank
@@ -338,27 +295,13 @@ impl Solver {
         self.limits = limits;
     }
 
-    /// Replaces the cooperative budget (deadline, step cap, cancel
-    /// flag) applied to every subsequent `prove` call.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
-    }
-
-    /// Installs and returns a cancel flag: set it to `true` from any
-    /// thread and the running `prove` gives up at its next budget
-    /// check, reporting a resource-limit [`Outcome::Unknown`].
-    pub fn cancel_flag(&mut self) -> Arc<AtomicBool> {
-        let flag = Arc::new(AtomicBool::new(false));
-        self.install_cancel(flag.clone());
-        flag
-    }
-
-    /// Installs an externally shared cancel flag (e.g. a worker pool's
-    /// fail-fast token), leaving the rest of the budget untouched.
-    /// Unlike [`cancel_flag`](Self::cancel_flag), many solvers may
-    /// share one flag: tripping it stands every one of them down.
-    pub fn install_cancel(&mut self, flag: Arc<AtomicBool>) {
-        self.budget.cancel = Some(flag);
+    /// Installs a cancel token (e.g. a worker pool's fail-fast token):
+    /// once it is tripped, from any thread, the running `prove` gives up
+    /// at its next check, and later calls give up before searching, with
+    /// a resource-limit [`Outcome::Unknown`]. Many solvers may share one
+    /// token.
+    pub fn install_cancel(&mut self, cancel: Cancel) {
+        self.cancel = Some(cancel);
     }
 
     /// The distinguished "true" constant used to encode predicates.
@@ -381,7 +324,7 @@ impl Solver {
 
     /// Attempts to prove the task, refuting `hypotheses ∧ ¬goal`.
     ///
-    /// Effort is bounded by the solver's [`Limits`] and [`Budget`]:
+    /// Effort is bounded by the solver's [`Limits`] and its cancel token:
     /// when any cap, deadline, or cancellation is hit the search stops
     /// and reports a resource-limit [`Outcome::Unknown`] — it never
     /// runs unbounded.
@@ -405,24 +348,18 @@ impl Solver {
         // A cancelled or zero-budget call must not start a tableau at
         // all: NNF conversion and the congruence-closure sync below do
         // real work proportional to the obligation, and a parallel
-        // sibling that tripped our cancel flag expects us to stand down
+        // sibling that tripped our cancel token expects us to stand down
         // now, not after the meter's first in-search check.
-        if let Some(flag) = &self.budget.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Outcome::Unknown {
-                    reason: "cancelled by caller before search began".into(),
-                    kind: UnknownKind::ResourceLimit,
-                    open_branch: Vec::new(),
-                    stats: Stats::default(),
-                    elapsed: start.elapsed(),
-                };
-            }
+        if self.cancel.as_ref().is_some_and(Cancel::is_tripped) {
+            return Outcome::Unknown {
+                reason: "cancelled by caller before search began".into(),
+                kind: UnknownKind::ResourceLimit,
+                open_branch: Vec::new(),
+                stats: Stats::default(),
+                elapsed: start.elapsed(),
+            };
         }
-        let effective_deadline = match (self.limits.deadline, self.budget.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if effective_deadline.is_some_and(|d| d <= start.elapsed()) {
+        if self.limits.deadline.is_some_and(|d| d <= start.elapsed()) {
             return Outcome::Unknown {
                 reason: "deadline exceeded before search began".into(),
                 kind: UnknownKind::ResourceLimit,
@@ -515,7 +452,7 @@ impl Solver {
             reg_upto,
             array_quiet_at: None,
         };
-        let meter = Meter::new(start, &self.limits, &self.budget);
+        let meter = Meter::new(start, &self.limits, self.cancel.as_ref());
         let mut search = Search {
             solver: self,
             stats: Stats::default(),
@@ -1699,36 +1636,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_deadline_merges_with_limits_deadline() {
-        let mut s = Solver::with_limits(Limits {
-            deadline: Some(Duration::from_secs(3600)),
-            ..Limits::default()
-        });
-        s.set_budget(Budget::with_deadline(Duration::ZERO));
-        let task = split_heavy_task(&mut s, 8);
-        assert!(s.prove(&task).is_resource_limited());
-    }
-
-    #[test]
-    fn step_cap_reports_resource_limit() {
+    fn cancel_token_aborts_search() {
         let mut s = Solver::new();
-        s.set_budget(Budget {
-            max_steps: Some(3),
-            ..Budget::default()
-        });
-        let task = split_heavy_task(&mut s, 8);
-        let out = s.prove(&task);
-        assert!(out.is_resource_limited(), "{out:?}");
-        if let Outcome::Unknown { reason, .. } = &out {
-            assert!(reason.contains("step cap"), "{reason}");
-        }
-    }
-
-    #[test]
-    fn cancel_flag_aborts_search() {
-        let mut s = Solver::new();
-        let flag = s.cancel_flag();
-        flag.store(true, Ordering::Relaxed);
+        let cancel = Cancel::new();
+        s.install_cancel(cancel.clone());
+        cancel.trip();
         let task = split_heavy_task(&mut s, 8);
         let out = s.prove(&task);
         assert!(out.is_resource_limited(), "{out:?}");
@@ -1739,12 +1651,13 @@ mod tests {
 
     #[test]
     fn cancelled_solver_never_starts_a_tableau() {
-        // Regression: a pre-tripped cancel flag (a parallel sibling
+        // Regression: a pre-tripped cancel token (a parallel sibling
         // found an unsound obligation) must fast-fail before NNF and
         // congruence-closure setup, like the zero-deadline path.
         let mut s = Solver::new();
-        let flag = s.cancel_flag();
-        flag.store(true, Ordering::Relaxed);
+        let cancel = Cancel::new();
+        cancel.trip();
+        s.install_cancel(cancel);
         // A provable goal: only the fast-fail can explain an Unknown.
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let out = s.prove(&ProofTask {
@@ -1761,8 +1674,10 @@ mod tests {
 
     #[test]
     fn expired_deadline_never_starts_a_tableau() {
-        let mut s = Solver::new();
-        s.set_budget(Budget::with_deadline(Duration::ZERO));
+        let mut s = Solver::with_limits(Limits {
+            deadline: Some(Duration::ZERO),
+            ..Limits::default()
+        });
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let out = s.prove(&ProofTask {
             hypotheses: vec![Formula::Eq(x, y)],
@@ -1777,9 +1692,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_does_not_disturb_successful_proofs() {
-        let mut s = Solver::new();
-        s.set_budget(Budget::with_deadline(Duration::from_secs(60)));
+    fn deadline_and_cancel_do_not_disturb_successful_proofs() {
+        let mut s = Solver::with_limits(Limits {
+            deadline: Some(Duration::from_secs(60)),
+            ..Limits::default()
+        });
+        s.install_cancel(Cancel::new());
         let f = s.bank.sym("f");
         let (x, y) = (s.bank.app0("x"), s.bank.app0("y"));
         let fx = s.bank.app(f, vec![x]);

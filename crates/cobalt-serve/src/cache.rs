@@ -17,33 +17,26 @@
 //! are always re-executed.
 
 use crate::proto::{Response, ServedFrom};
-use cobalt_support::fault;
-use cobalt_support::journal::{
-    escape_field, unescape_field, Journal, LoadReport, LockOutcome, ResumeMode,
-};
-use std::collections::HashMap;
-use std::io;
+use cobalt_support::journal::{Keep, LoadReport, ResumeMode, Store};
 use std::path::Path;
 use std::time::Duration;
 
-/// Record format version written as each record's first field.
-const RECORD_VERSION: &str = "v1";
-
-/// One cached result: everything needed to replay a response except
-/// the correlation id (which belongs to the asking client, not the
-/// proof).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedResult {
-    /// Request fingerprint (see `exec::request_fingerprint`).
-    pub fingerprint: u64,
-    /// `verify` or `optimize`.
-    pub op: String,
-    /// CLI-compatible exit code (only 0 and 2 are ever cached).
-    pub exit: u8,
-    /// Human verdict (`proved`, `unsound`, `ok`).
-    pub verdict: String,
-    /// The deterministic report text.
-    pub output: String,
+cobalt_support::journal_record! {
+    /// One cached result, stored under its request fingerprint (see
+    /// `exec::request_fingerprint`): everything needed to replay a
+    /// response except the correlation id (which belongs to the asking
+    /// client, not the proof).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CachedResult {
+        /// `verify` or `optimize`.
+        pub op: String = "op",
+        /// CLI-compatible exit code (only 0 and 2 are ever cached).
+        pub exit: u8 = "exit",
+        /// Human verdict (`proved`, `unsound`, `ok`).
+        pub verdict: String = "verdict",
+        /// The deterministic report text.
+        pub output: String = "output",
+    }
 }
 
 impl CachedResult {
@@ -58,217 +51,89 @@ impl CachedResult {
     pub fn to_response(&self, id: &str, served: ServedFrom) -> Response {
         Response::ok(id, self.exit, &self.verdict, served, self.output.clone())
     }
-
-    fn encode(&self) -> Vec<u8> {
-        format!(
-            "{RECORD_VERSION}\tfp={:016x}\top={}\texit={}\tverdict={}\toutput={}",
-            self.fingerprint,
-            escape_field(&self.op),
-            self.exit,
-            escape_field(&self.verdict),
-            escape_field(&self.output),
-        )
-        .into_bytes()
-    }
-
-    fn decode(payload: &[u8]) -> Option<CachedResult> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut fields = text.split('\t');
-        if fields.next()? != RECORD_VERSION {
-            return None;
-        }
-        let mut out = CachedResult {
-            fingerprint: 0,
-            op: String::new(),
-            exit: u8::MAX,
-            verdict: String::new(),
-            output: String::new(),
-        };
-        let mut seen = 0u32;
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "fp" => out.fingerprint = u64::from_str_radix(value, 16).ok()?,
-                "op" => out.op = unescape_field(value)?,
-                "exit" => out.exit = value.parse().ok()?,
-                "verdict" => out.verdict = unescape_field(value)?,
-                "output" => out.output = unescape_field(value)?,
-                _ => continue, // forward-compatible: unknown keys ignored
-            }
-            seen += 1;
-        }
-        if seen < 5 || !Self::cacheable(out.exit) {
-            // Short records and non-deterministic exits are skipped,
-            // never trusted and never fatal.
-            return None;
-        }
-        Some(out)
-    }
 }
 
 /// A journal-backed, degrade-don't-fail proof cache. All methods are
 /// infallible from the caller's perspective: trouble flips the cache
-/// into its degraded (in-memory-only or fully disabled) state and the
-/// daemon keeps serving.
+/// into its degraded (in-memory-only) state and the daemon keeps
+/// serving.
 #[derive(Debug)]
-pub struct ProofCache {
-    journal: Option<Journal>,
-    map: HashMap<u64, CachedResult>,
-    loaded: LoadReport,
-    degraded: Option<String>,
-}
+pub struct ProofCache(Store<CachedResult>);
 
 impl ProofCache {
     /// A cache with no journal: single-flight dedup and in-memory
     /// replay still work, nothing survives a restart.
     pub fn in_memory() -> ProofCache {
-        ProofCache {
-            journal: None,
-            map: HashMap::new(),
-            loaded: LoadReport::default(),
-            degraded: None,
-        }
+        ProofCache(Store::in_memory())
     }
 
     /// Opens (creating if absent) the cache journal at `path` under
-    /// its advisory exclusive lock, replaying intact records into the
-    /// in-memory map (`ResumeMode::Fresh` truncates instead). Trouble
-    /// — open failure, lock contention, an injected `serve.cache`
-    /// fault — yields a *degraded* in-memory cache, never an error:
-    /// the daemon must come up and serve regardless.
+    /// its advisory exclusive lock, replaying intact records with a
+    /// cacheable exit into the in-memory map (`ResumeMode::Fresh`
+    /// truncates instead). Trouble — open failure, lock contention, an
+    /// injected `serve.cache` fault — yields a *degraded* in-memory
+    /// cache, never an error: the daemon must come up and serve
+    /// regardless.
     pub fn open(path: impl AsRef<Path>, mode: ResumeMode, lock_wait: Duration) -> ProofCache {
-        match Self::try_open(path, mode, lock_wait) {
-            Ok(cache) => cache,
-            Err(reason) => {
-                let mut cache = Self::in_memory();
-                cache.degraded = Some(reason);
-                cache
-            }
-        }
-    }
-
-    fn try_open(
-        path: impl AsRef<Path>,
-        mode: ResumeMode,
-        lock_wait: Duration,
-    ) -> Result<ProofCache, String> {
-        fault::point_err("serve.cache").map_err(|e| e.to_string())?;
-        let mut opened = match Journal::open_locked(path, lock_wait)
-            .map_err(|e| format!("cache journal open failed: {e}"))?
-        {
-            LockOutcome::Acquired(opened) => opened,
-            LockOutcome::Contended { reason } => {
-                return Err(format!("cache journal lock unavailable ({reason})"))
-            }
-        };
-        let mut map = HashMap::new();
-        match mode {
-            ResumeMode::Fresh => {
-                opened
-                    .journal
-                    .compact(&[] as &[&[u8]])
-                    .map_err(|e| format!("cache journal reset failed: {e}"))?;
-                opened.report = LoadReport::default();
-            }
-            ResumeMode::Resume => {
-                for raw in &opened.records {
-                    // Later records win (there should be no
-                    // duplicates, but reloads after an unclean kill
-                    // may replay an append twice).
-                    if let Some(r) = CachedResult::decode(raw) {
-                        map.insert(r.fingerprint, r);
-                    }
-                }
-            }
-        }
-        Ok(ProofCache {
-            journal: Some(opened.journal),
-            map,
-            loaded: opened.report,
-            degraded: None,
-        })
+        let mut store: Store<CachedResult> =
+            Store::open_or_degrade(path.as_ref(), mode, lock_wait, Some("serve.cache"));
+        store.retain(|r| CachedResult::cacheable(r.exit));
+        ProofCache(store)
     }
 
     /// Why persistence was disabled, if it was. Verdicts are
     /// unaffected — only warmth across restarts is lost.
     pub fn degraded(&self) -> Option<&str> {
-        self.degraded.as_deref()
+        self.0.degraded()
     }
 
     /// What the journal loader recovered and discarded at open.
     pub fn load_report(&self) -> &LoadReport {
-        &self.loaded
+        self.0.load_report()
     }
 
     /// Number of cached results currently replayable.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.0.len()
     }
 
     /// Whether the cache holds no replayable results.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.0.is_empty()
     }
 
     /// Looks up a finished result by request fingerprint.
     pub fn get(&self, fingerprint: u64) -> Option<&CachedResult> {
-        self.map.get(&fingerprint)
+        self.0.get(fingerprint)
     }
 
-    /// Records a finished result: into the in-memory map always, and
-    /// append+fsync into the journal when the outcome is cacheable
-    /// (exit 0 or 2) and persistence is still healthy. A write failure
-    /// (or injected `serve.cache` fault) degrades persistence for the
-    /// rest of the run — the in-memory map keeps working.
-    pub fn insert(&mut self, result: CachedResult) {
-        if !CachedResult::cacheable(result.exit) {
-            return;
+    /// Records a finished result when its outcome is cacheable (exit 0
+    /// or 2): into the in-memory map always, and append+fsync into the
+    /// journal while persistence is healthy. A write failure (or
+    /// injected `serve.cache` fault) degrades persistence for the rest
+    /// of the run — the in-memory map keeps working.
+    pub fn insert(&mut self, fingerprint: u64, result: CachedResult) {
+        if CachedResult::cacheable(result.exit) {
+            self.0.append(fingerprint, result);
         }
-        if let Some(journal) = self.journal.as_mut() {
-            let payload = result.encode();
-            let write = fault::point_err("serve.cache")
-                .map_err(|e| io::Error::other(e.to_string()))
-                .and_then(|()| journal.append(&payload))
-                .and_then(|()| journal.sync());
-            if let Err(e) = write {
-                self.journal = None;
-                if self.degraded.is_none() {
-                    self.degraded = Some(format!("cache journal write failed: {e}"));
-                }
-            }
-        }
-        self.map.insert(result.fingerprint, result);
     }
 
-    /// Compacts the journal down to the live map (atomic temp-file +
-    /// rename) and releases it. Called once during graceful drain; a
-    /// compaction failure degrades (the appended journal is still
-    /// valid) rather than erroring.
+    /// Compacts the journal down to every live result (atomic
+    /// temp-file + rename) and releases it. Called once during graceful
+    /// drain; a compaction failure degrades (the appended journal is
+    /// still valid) rather than erroring.
     pub fn finish(&mut self) {
-        if let Some(journal) = self.journal.as_mut() {
-            let mut fps: Vec<&u64> = self.map.keys().collect();
-            fps.sort_unstable();
-            let payloads: Vec<Vec<u8>> = fps
-                .iter()
-                .map(|fp| self.map[fp].encode())
-                .collect();
-            if let Err(e) = journal.compact(&payloads) {
-                if self.degraded.is_none() {
-                    self.degraded = Some(format!("cache journal compaction failed: {e}"));
-                }
-            }
-        }
-        self.journal = None;
+        self.0.finish(Keep::All);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobalt_support::fault;
 
-    fn result(fp: u64, exit: u8) -> CachedResult {
+    fn result(exit: u8) -> CachedResult {
         CachedResult {
-            fingerprint: fp,
             op: "verify".into(),
             exit,
             verdict: if exit == 0 { "proved" } else { "unsound" }.into(),
@@ -277,27 +142,23 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrips() {
-        let r = result(0xfeed_f00d_dead_beef, 0);
-        assert_eq!(CachedResult::decode(&r.encode()), Some(r));
-        let u = result(7, 2);
-        assert_eq!(CachedResult::decode(&u.encode()), Some(u));
-    }
-
-    #[test]
-    fn decode_rejects_junk_and_uncacheable_exits() {
-        assert_eq!(CachedResult::decode(b""), None);
-        assert_eq!(CachedResult::decode(b"v0\tfp=00"), None);
-        assert_eq!(CachedResult::decode(b"v1\tfp=nothex"), None);
-        assert_eq!(CachedResult::decode(&[0xff, 0xfe]), None);
+    fn uncacheable_records_are_skipped_at_load() {
+        let dir = std::env::temp_dir().join(format!("cobalt-serve-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t0.jrnl");
+        let _ = std::fs::remove_file(&path);
         // A record claiming a non-deterministic exit must never be
         // replayed, even if something managed to write one.
-        let mut rl = result(1, 0);
-        rl.exit = 3;
-        assert_eq!(CachedResult::decode(&rl.encode()), None);
-        let mut truncated = result(2, 0).encode();
-        truncated.truncate(truncated.len() / 2);
-        let _ = CachedResult::decode(&truncated); // must not panic
+        let mut store =
+            Store::open(&path, ResumeMode::Fresh, Duration::from_secs(1), None).unwrap();
+        store.append(1, result(3));
+        store.append(2, result(0));
+        drop(store);
+        let cache = ProofCache::open(&path, ResumeMode::Resume, Duration::from_secs(1));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(1), None);
+        assert_eq!(cache.get(2), Some(&result(0)));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -308,16 +169,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
         assert!(cache.degraded().is_none());
-        cache.insert(result(1, 0));
-        cache.insert(result(2, 2));
-        cache.insert(result(3, 3)); // resource-limited: not cached at all
+        cache.insert(1, result(0));
+        cache.insert(2, result(2));
+        cache.insert(3, result(3)); // resource-limited: not cached at all
         assert_eq!(cache.len(), 2);
         drop(cache); // unclean: no finish() — appends alone must survive
         let cache = ProofCache::open(&path, ResumeMode::Resume, Duration::from_secs(1));
         assert!(cache.degraded().is_none());
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1), Some(&result(1, 0)));
-        assert_eq!(cache.get(2), Some(&result(2, 2)));
+        assert_eq!(cache.get(1), Some(&result(0)));
+        assert_eq!(cache.get(2), Some(&result(2)));
         assert_eq!(cache.get(3), None);
         let _ = std::fs::remove_file(&path);
     }
@@ -329,7 +190,7 @@ mod tests {
         let path = dir.join("t2.jrnl");
         let _ = std::fs::remove_file(&path);
         let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
-        cache.insert(result(10, 0));
+        cache.insert(10, result(0));
         cache.finish();
         assert!(cache.degraded().is_none());
         let cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
@@ -349,19 +210,19 @@ mod tests {
             let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
             let why = cache.degraded().expect("open fault degrades").to_string();
             assert!(why.contains("serve.cache"), "{why}");
-            cache.insert(result(5, 0));
-            assert_eq!(cache.get(5), Some(&result(5, 0)), "in-memory replay survives");
+            cache.insert(5, result(0));
+            assert_eq!(cache.get(5), Some(&result(0)), "in-memory replay survives");
         });
         // Fault at the first write: open succeeds, persistence then
         // degrades, in-memory replay still works.
         let mut cache = ProofCache::open(&path, ResumeMode::Fresh, Duration::from_secs(1));
         assert!(cache.degraded().is_none());
         fault::with_faults("serve.cache:fail", || {
-            cache.insert(result(6, 0));
+            cache.insert(6, result(0));
         });
         assert!(cache.degraded().is_some());
-        assert_eq!(cache.get(6), Some(&result(6, 0)));
-        cache.insert(result(7, 0));
+        assert_eq!(cache.get(6), Some(&result(0)));
+        cache.insert(7, result(0));
         drop(cache);
         let cache = ProofCache::open(&path, ResumeMode::Resume, Duration::from_secs(1));
         assert!(cache.is_empty(), "nothing persisted after degradation");

@@ -171,9 +171,8 @@ impl ExecResult {
     }
 
     /// Packages the result for the proof cache.
-    pub fn to_cached(&self, fingerprint: u64, op: &RequestOp) -> CachedResult {
+    pub fn to_cached(&self, op: &RequestOp) -> CachedResult {
         CachedResult {
-            fingerprint,
             op: match op {
                 RequestOp::Verify { .. } => "verify",
                 RequestOp::Optimize { .. } => "optimize",
@@ -356,7 +355,7 @@ fn exec_optimize(
         }
         suite
     };
-    let mut budget = Budget::unlimited().with_cancel(cancel.flag());
+    let mut budget = Budget::unlimited().with_cancel(cancel.clone());
     if let Some(d) = cfg.timeout {
         budget = budget.with_deadline(d);
     }

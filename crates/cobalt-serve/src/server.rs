@@ -28,7 +28,7 @@ use crate::exec::{self, ExecConfig};
 use crate::proto::{Request, RequestOp, Response, ServedFrom};
 use crate::sig;
 use cobalt_support::fault;
-use cobalt_support::journal::ResumeMode;
+use cobalt_support::journal::{ResumeMode, DEFAULT_LOCK_WAIT};
 use cobalt_support::pool::{self, Cancel, TaskResult};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -84,7 +84,7 @@ impl Default for ServeConfig {
             queue_cap: 64,
             exec: ExecConfig::default(),
             journal: None,
-            lock_wait: Duration::from_secs(5),
+            lock_wait: DEFAULT_LOCK_WAIT,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             drain_wait: Duration::from_secs(5),
@@ -646,7 +646,7 @@ fn process_batch(shared: &Arc<Shared>, cache: &mut ProofCache, batch: Vec<Pendin
             continue;
         };
         shared.observe_latency(elapsed);
-        cache.insert(result.to_cached(fp, &members[0].op));
+        cache.insert(fp, result.to_cached(&members[0].op));
         for (i, pending) in members.iter().enumerate() {
             let served = if i == 0 {
                 shared.stats.fresh.fetch_add(1, Ordering::Relaxed);

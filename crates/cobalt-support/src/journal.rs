@@ -47,6 +47,17 @@
 //! our `try_lock`, acquisition re-verifies that the locked handle still
 //! names the path's inode and reopens if not.
 //!
+//! # Stores
+//!
+//! Payloads are opaque to the journal. [`Store`] layers the one
+//! fingerprint-keyed cache every caller shares (proof outcomes, engine
+//! procedure results, daemon answers): records declared with
+//! [`journal_record!`](crate::journal_record) are encoded as a `v1`
+//! version tag, `fp=` as 16 hex digits, then tab-separated `key=value`
+//! fields with escaped text. The store replays the latest record per
+//! fingerprint, appends with fsync, degrades to memory only when the
+//! journal fails, and compacts by reusing each kept record's raw bytes.
+//!
 //! # Fault points
 //!
 //! `journal.load`, `journal.write`, and `journal.fsync` are
@@ -58,6 +69,8 @@
 //! the interesting degradation to rehearse.
 
 use crate::fault;
+use std::collections::{hash_map, HashMap};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -137,45 +150,6 @@ impl LoadReport {
     pub fn corrupted(&self) -> bool {
         self.discarded_bytes > 0
     }
-}
-
-/// Escapes a record field for the tab-separated `key=value` codecs
-/// layered on this journal (verification and engine session records):
-/// backslash, tab, newline, and carriage return are escaped so a field
-/// can never alias the record's separators.
-pub fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape_field`]. `None` on a malformed escape — callers
-/// treat the whole record as not cached (total decoding, never fatal).
-pub fn unescape_field(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 /// How a journal-backed session treats an existing journal. Shared by
@@ -534,6 +508,455 @@ fn fault_io(e: fault::FaultError) -> io::Error {
     io::Error::other(e)
 }
 
+/// How long [`Store::open`] waits for a journal's advisory lock before
+/// degrading: long enough to ride out a sibling's append bursts, short
+/// enough that a wedged holder cannot wedge us.
+pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_secs(5);
+
+/// Version tag written as the first field of every [`Store`] record.
+const RECORD_VERSION: &str = "v1";
+
+/// A record type a [`Store`] keeps: every field but the fingerprint,
+/// stored as tab-separated `key=value` pairs. Declare one with
+/// [`journal_record!`](crate::journal_record), which derives both
+/// directions of the codec from a single field list.
+pub trait Record: Sized {
+    /// Appends `\tkey=value` for every field, in on-disk order.
+    fn encode_fields(&self, out: &mut String);
+
+    /// Rebuilds the record; `None` when a field is missing or malformed.
+    fn decode_fields(fields: &Fields<'_>) -> Option<Self>;
+}
+
+/// A value a [`Record`] field may hold.
+pub trait Field: Sized {
+    /// Appends the encoded value.
+    fn put(&self, out: &mut String);
+
+    /// Decodes a value; `None` when malformed.
+    fn take(raw: &str) -> Option<Self>;
+}
+
+/// Text, with backslash, tab, newline and carriage return escaped so a
+/// value can never alias the record's separators.
+impl Field for String {
+    fn put(&self, out: &mut String) {
+        for c in self.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn take(raw: &str) -> Option<String> {
+        let mut out = String::with_capacity(raw.len());
+        let mut chars = raw.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next()? {
+                '\\' => out.push('\\'),
+                't' => out.push('\t'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+}
+
+/// `1` or `0`; anything else is malformed.
+impl Field for bool {
+    fn put(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+
+    fn take(raw: &str) -> Option<bool> {
+        match raw {
+            "1" => Some(true),
+            "0" => Some(false),
+            _ => None,
+        }
+    }
+}
+
+macro_rules! decimal_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn take(raw: &str) -> Option<$t> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+decimal_fields!(u8, u32, u64, usize);
+
+/// The `key=value` pairs of one record being decoded.
+#[derive(Debug)]
+pub struct Fields<'a>(Vec<(&'a str, &'a str)>);
+
+impl Fields<'_> {
+    /// The decoded value under `key` (its last occurrence wins); `None`
+    /// when the key is missing or its value malformed.
+    pub fn get<T: Field>(&self, key: &str) -> Option<T> {
+        T::take(self.raw(key)?)
+    }
+
+    fn raw(&self, key: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+    }
+}
+
+/// Appends one `\tkey=value` field; the encoding half of
+/// [`journal_record!`](crate::journal_record).
+#[doc(hidden)]
+pub fn put_field<T: Field>(out: &mut String, key: &str, value: &T) {
+    out.push('\t');
+    out.push_str(key);
+    out.push('=');
+    value.put(out);
+}
+
+/// Encodes `record` under fingerprint `fp`: the version tag, then
+/// `fp=` as 16 hex digits, then the record's fields.
+fn encode<R: Record>(fp: u64, record: &R) -> Vec<u8> {
+    let mut out = format!("{RECORD_VERSION}\tfp={fp:016x}");
+    record.encode_fields(&mut out);
+    out.into_bytes()
+}
+
+/// Decodes a payload written by [`encode`]. `None` for another version,
+/// a field without `=`, or a missing or malformed required field — such
+/// records are skipped (not cached), never trusted and never fatal.
+/// Unknown keys are ignored, so later versions may add fields.
+fn decode<R: Record>(payload: &[u8]) -> Option<(u64, R)> {
+    let text = std::str::from_utf8(payload).ok()?;
+    let mut parts = text.split('\t');
+    if parts.next()? != RECORD_VERSION {
+        return None;
+    }
+    let fields = Fields(parts.map(|p| p.split_once('=')).collect::<Option<_>>()?);
+    let fp = u64::from_str_radix(fields.raw("fp")?, 16).ok()?;
+    Some((fp, R::decode_fields(&fields)?))
+}
+
+/// Declares a [`Record`](crate::journal::Record) struct from its field
+/// list. Each field names the key it is stored under; the list's order
+/// is the on-disk order, and every field is required when decoding.
+///
+/// ```
+/// cobalt_support::journal_record! {
+///     /// A greeting worth remembering.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Greeting {
+///         /// Who was greeted.
+///         pub name: String = "name",
+///         /// How often.
+///         pub times: u32 = "times",
+///     }
+/// }
+/// let store = cobalt_support::journal::Store::<Greeting>::in_memory();
+/// assert!(store.is_empty());
+/// ```
+#[macro_export]
+macro_rules! journal_record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty = $key:literal),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)+
+        }
+
+        impl $crate::journal::Record for $name {
+            fn encode_fields(&self, out: &mut String) {
+                $($crate::journal::put_field(out, $key, &self.$field);)+
+            }
+
+            fn decode_fields(fields: &$crate::journal::Fields<'_>) -> Option<Self> {
+                Some($name { $($field: fields.get($key)?,)+ })
+            }
+        }
+    };
+}
+
+/// Which records [`Store::finish`] compacts the journal down to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// The records marked with [`Store::keep`], in that order. Stale
+    /// and superseded records are dropped.
+    Session,
+    /// Every live record, in fingerprint order.
+    All,
+}
+
+/// One live record and the exact payload it is stored as.
+#[derive(Debug)]
+struct Stored<R> {
+    record: R,
+    /// The payload on disk (empty when not journaled), so compaction
+    /// carries the record over byte for byte.
+    raw: Vec<u8>,
+    /// Position among the loaded journal's records, while this is the
+    /// loaded record.
+    loaded_at: Option<usize>,
+    /// Whether [`Keep::Session`] compaction keeps it.
+    kept: bool,
+}
+
+/// A fingerprint-keyed map of [`Record`]s persisted in a [`Journal`]:
+/// what makes a proof, an optimized procedure or a daemon answer
+/// reusable across runs.
+///
+/// On open it replays the journal's records, the latest per fingerprint
+/// winning. Every append is fsynced. Any journal trouble — lock
+/// contention, a failed write, an injected fault — **degrades** the
+/// store to memory only: lookups and appends keep working, nothing more
+/// is persisted, and [`degraded`](Self::degraded) says why. A store
+/// never changes what its caller computes, only how much is reused.
+#[derive(Debug)]
+pub struct Store<R> {
+    journal: Option<Journal>,
+    entries: HashMap<u64, Stored<R>>,
+    /// Fingerprints [`Keep::Session`] compaction writes, in order.
+    kept: Vec<u64>,
+    /// Records in the journal as loaded, decodable or not.
+    on_disk: usize,
+    appended: bool,
+    /// Fault point fired at open and before every append.
+    site: Option<&'static str>,
+    report: LoadReport,
+    degraded: Option<String>,
+}
+
+impl<R: Record> Store<R> {
+    /// A store without a journal: appends live in memory only.
+    pub fn in_memory() -> Store<R> {
+        Store {
+            journal: None,
+            entries: HashMap::new(),
+            kept: Vec::new(),
+            on_disk: 0,
+            appended: false,
+            site: None,
+            report: LoadReport::default(),
+            degraded: None,
+        }
+    }
+
+    fn unjournaled(reason: String) -> Store<R> {
+        Store {
+            degraded: Some(reason),
+            ..Store::in_memory()
+        }
+    }
+
+    /// Opens (creating if absent) the journal at `path` under its
+    /// advisory lock, waiting up to `lock_wait`, and replays its records
+    /// — or, with [`ResumeMode::Fresh`], empties it. `site` names a
+    /// fault point fired here and before every append.
+    ///
+    /// Lock contention is not an error: the store comes up degraded.
+    ///
+    /// # Errors
+    ///
+    /// The `io::Error` when the journal cannot be opened or emptied, or
+    /// `site` fires.
+    pub fn open(
+        path: &Path,
+        mode: ResumeMode,
+        lock_wait: Duration,
+        site: Option<&'static str>,
+    ) -> io::Result<Store<R>> {
+        if let Some(site) = site {
+            fault::point_err(site).map_err(fault_io)?;
+        }
+        let opened = match Journal::open_locked(path, lock_wait)? {
+            LockOutcome::Acquired(opened) => opened,
+            LockOutcome::Contended { reason } => {
+                return Ok(Store::unjournaled(format!(
+                    "journal lock unavailable ({reason})"
+                )))
+            }
+        };
+        let mut journal = opened.journal;
+        let mut store = Store {
+            site,
+            ..Store::in_memory()
+        };
+        match mode {
+            ResumeMode::Fresh => journal.compact(&[] as &[&[u8]])?,
+            ResumeMode::Resume => {
+                store.on_disk = opened.records.len();
+                store.report = opened.report;
+                for (i, raw) in opened.records.into_iter().enumerate() {
+                    if let Some((fp, record)) = decode(&raw) {
+                        let entry = Stored {
+                            record,
+                            raw,
+                            loaded_at: Some(i),
+                            kept: false,
+                        };
+                        store.entries.insert(fp, entry);
+                    }
+                }
+            }
+        }
+        store.journal = Some(journal);
+        Ok(store)
+    }
+
+    /// [`open`](Self::open) that never fails: an error yields a
+    /// degraded in-memory store.
+    pub fn open_or_degrade(
+        path: &Path,
+        mode: ResumeMode,
+        lock_wait: Duration,
+        site: Option<&'static str>,
+    ) -> Store<R> {
+        Store::open(path, mode, lock_wait, site)
+            .unwrap_or_else(|e| Store::unjournaled(format!("journal unavailable ({e})")))
+    }
+
+    /// Whether a journal is attached and healthy.
+    pub fn is_journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// What the journal loader recovered and discarded at open.
+    pub fn load_report(&self) -> &LoadReport {
+        &self.report
+    }
+
+    /// Why the store stopped persisting, if it did.
+    pub fn degraded(&self) -> Option<&str> {
+        self.degraded.as_deref()
+    }
+
+    /// Number of live records.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the store holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The live record under `fp`.
+    pub fn get(&self, fp: u64) -> Option<&R> {
+        self.entries.get(&fp).map(|e| &e.record)
+    }
+
+    /// Drops every record `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&R) -> bool) {
+        self.entries.retain(|_, e| keep(&e.record));
+    }
+
+    /// Marks the record under `fp` as part of this session, for
+    /// [`Keep::Session`] compaction.
+    pub fn keep(&mut self, fp: u64) {
+        if let Some(e) = self.entries.get_mut(&fp) {
+            if !e.kept {
+                e.kept = true;
+                self.kept.push(fp);
+            }
+        }
+    }
+
+    /// Stores `record` under `fp`, superseding any earlier record. While
+    /// journaled it is also appended with fsync; a failed write degrades
+    /// the store, and the record still lives in memory. Without a
+    /// journal nothing is encoded.
+    pub fn append(&mut self, fp: u64, record: R) {
+        let mut raw = Vec::new();
+        if let Some(journal) = self.journal.as_mut() {
+            raw = encode(fp, &record);
+            let wrote = self
+                .site
+                .map_or(Ok(()), |site| fault::point_err(site).map_err(fault_io))
+                .and_then(|()| journal.append(&raw))
+                .and_then(|()| journal.sync());
+            match wrote {
+                Ok(()) => self.appended = true,
+                Err(e) => self.degrade(format!("journal write failed ({e})")),
+            }
+        }
+        match self.entries.entry(fp) {
+            hash_map::Entry::Occupied(mut slot) => {
+                let e = slot.get_mut();
+                e.record = record;
+                e.raw = raw;
+                e.loaded_at = None;
+            }
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(Stored {
+                    record,
+                    raw,
+                    loaded_at: None,
+                    kept: false,
+                });
+            }
+        }
+    }
+
+    /// Compacts the journal down to the records `keep` selects (atomic
+    /// temp file + rename) and releases it, and its lock. When those are
+    /// exactly the loaded records in file order and nothing was
+    /// appended, the bytes would not change, so nothing is rewritten. A
+    /// failed compaction degrades: the appended journal is still valid.
+    pub fn finish(&mut self, keep: Keep) {
+        let Some(mut journal) = self.journal.take() else {
+            return;
+        };
+        let fps = match keep {
+            Keep::Session => std::mem::take(&mut self.kept),
+            Keep::All => {
+                let mut fps: Vec<u64> = self.entries.keys().copied().collect();
+                fps.sort_unstable();
+                fps
+            }
+        };
+        let records: Vec<&Stored<R>> = fps.iter().filter_map(|fp| self.entries.get(fp)).collect();
+        let unchanged = !self.appended
+            && records.len() == self.on_disk
+            && records
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.loaded_at == Some(i));
+        if unchanged {
+            return;
+        }
+        let payloads: Vec<&[u8]> = records.iter().map(|e| e.raw.as_slice()).collect();
+        if let Err(e) = journal.compact(&payloads) {
+            self.degrade(format!("journal compaction failed ({e})"));
+        }
+    }
+
+    fn degrade(&mut self, reason: String) {
+        self.journal = None;
+        self.degraded.get_or_insert(reason);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,6 +1216,194 @@ mod tests {
             LockOutcome::Acquired(_) => {}
             LockOutcome::Contended { .. } => panic!("second attempt should acquire"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    crate::journal_record! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Note {
+            text: String = "text",
+            n: u32 = "n",
+            ok: bool = "ok",
+        }
+    }
+
+    fn note(text: &str, n: u32) -> Note {
+        Note {
+            text: text.into(),
+            n,
+            ok: n.is_multiple_of(2),
+        }
+    }
+
+    #[test]
+    fn codec_round_trips_fields_and_escapes() {
+        for text in ["", "plain", "tab\there", "line\nbreak", "back\\slash\r"] {
+            let n = note(text, 7);
+            assert_eq!(decode::<Note>(&encode(0xfeed, &n)), Some((0xfeed, n)));
+        }
+        assert_eq!(
+            encode(1, &note("a\tb", 2)),
+            b"v1\tfp=0000000000000001\ttext=a\\tb\tn=2\tok=1".to_vec()
+        );
+    }
+
+    #[test]
+    fn decode_checks_version_and_required_keys_and_ignores_unknown_ones() {
+        let good = "v1\tfp=00000000000000ff\ttext=x\tn=3\tok=0";
+        assert_eq!(decode::<Note>(good.as_bytes()), Some((0xff, note("x", 3))));
+        let extended = format!("{good}\tfuture=whatever");
+        assert_eq!(
+            decode::<Note>(extended.as_bytes()),
+            Some((0xff, note("x", 3)))
+        );
+        for junk in [
+            "",
+            "v0\tfp=00000000000000ff\ttext=x\tn=3\tok=0",
+            "v1\tfp=00000000000000ff\ttext=x\tn=3",
+            "v1\ttext=x\tn=3\tok=0",
+            "v1\tfp=nothex\ttext=x\tn=3\tok=0",
+            "v1\tfp=00000000000000ff\ttext=bad\\x\tn=3\tok=0",
+            "v1\tfp=00000000000000ff\ttext=x\\\tn=3\tok=0",
+            "v1\tfp=00000000000000ff\ttext=x\tn=three\tok=0",
+            "v1\tfp=00000000000000ff\tnoequals\ttext=x\tn=3\tok=0",
+        ] {
+            assert_eq!(decode::<Note>(junk.as_bytes()), None, "{junk:?}");
+        }
+        assert_eq!(decode::<Note>(&[0xff, 0xfe]), None, "not utf-8");
+        // A record cut off anywhere, mid-escape included, never decodes
+        // to some other record.
+        let whole = encode(1, &note("a\tb", 2));
+        for end in 0..whole.len() {
+            assert_eq!(decode::<Note>(&whole[..end]), None, "cut at {end}");
+        }
+    }
+
+    fn store(path: &Path, mode: ResumeMode) -> Store<Note> {
+        Store::open(path, mode, Duration::ZERO, None).unwrap()
+    }
+
+    #[test]
+    fn store_replays_the_latest_record_and_compacts_to_the_session() {
+        let path = tmp("store_session");
+        std::fs::remove_file(&path).ok();
+        let mut s = store(&path, ResumeMode::Fresh);
+        s.append(1, note("old", 1));
+        s.append(2, note("two", 2));
+        s.append(1, note("new", 3));
+        drop(s); // no finish: the appends alone must replay
+        let mut s = store(&path, ResumeMode::Resume);
+        assert_eq!(s.load_report().records, 3);
+        assert_eq!(s.get(1), Some(&note("new", 3)), "latest record wins");
+        s.append(3, note("three", 4));
+        s.keep(3);
+        s.keep(1);
+        s.keep(3); // once only
+        s.finish(Keep::Session);
+        assert!(s.degraded().is_none());
+        // Record 2 was not part of this session: dropped.
+        let kept: Vec<_> = Journal::open(&path)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| decode::<Note>(r).unwrap().1.text)
+            .collect();
+        assert_eq!(kept, ["three", "new"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unchanged_session_leaves_the_journal_file_alone() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmp("store_unchanged");
+        std::fs::remove_file(&path).ok();
+        let mut s = store(&path, ResumeMode::Fresh);
+        s.append(1, note("a", 1));
+        s.append(2, note("b", 2));
+        s.keep(1);
+        s.keep(2);
+        s.finish(Keep::Session);
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        // Same records, same order: nothing to rewrite.
+        let mut s = store(&path, ResumeMode::Resume);
+        s.keep(1);
+        s.keep(2);
+        s.finish(Keep::Session);
+        assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+        // The lock was released all the same.
+        let mut s = store(&path, ResumeMode::Resume);
+        assert!(s.is_journaled(), "{:?}", s.degraded());
+        // Another order is another file.
+        s.keep(2);
+        s.keep(1);
+        s.finish(Keep::Session);
+        assert_ne!(std::fs::metadata(&path).unwrap().ino(), inode);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn keep_all_compacts_every_live_record_in_fingerprint_order() {
+        let path = tmp("store_all");
+        std::fs::remove_file(&path).ok();
+        let mut s = store(&path, ResumeMode::Fresh);
+        s.append(9, note("nine", 1));
+        s.append(4, note("four", 2));
+        s.append(9, note("nine again", 3));
+        s.finish(Keep::All);
+        let opened = Journal::open(&path).unwrap();
+        let fps: Vec<u64> = opened
+            .records
+            .iter()
+            .map(|r| decode::<Note>(r).unwrap().0)
+            .collect();
+        assert_eq!(fps, [4, 9]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fault_site_degrades_open_and_append_but_memory_keeps_working() {
+        let path = tmp("store_fault");
+        std::fs::remove_file(&path).ok();
+        let site = Some("journal.test");
+        let e = fault::with_faults("journal.test:fail@1", || {
+            Store::<Note>::open(&path, ResumeMode::Fresh, Duration::ZERO, site)
+        })
+        .unwrap_err();
+        assert!(e.to_string().contains("journal.test"), "{e}");
+        let s = fault::with_faults("journal.test:fail@1", || {
+            Store::<Note>::open_or_degrade(&path, ResumeMode::Fresh, Duration::ZERO, site)
+        });
+        assert!(s.degraded().unwrap().contains("journal unavailable"));
+        let mut s = Store::open(&path, ResumeMode::Fresh, Duration::ZERO, site).unwrap();
+        s.append(1, note("durable", 1));
+        fault::with_faults("journal.test:fail@1", || s.append(2, note("lost", 2)));
+        assert!(s.degraded().unwrap().contains("journal write failed"));
+        assert!(!s.is_journaled());
+        assert_eq!(s.get(2), Some(&note("lost", 2)), "memory still serves it");
+        drop(s);
+        let s = store(&path, ResumeMode::Resume);
+        assert_eq!((s.len(), s.get(1)), (1, Some(&note("durable", 1))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lock_contention_degrades_and_fresh_empties() {
+        let path = tmp("store_lock");
+        std::fs::remove_file(&path).ok();
+        let mut holder = store(&path, ResumeMode::Fresh);
+        holder.append(1, note("x", 1));
+        let second = store(&path, ResumeMode::Resume);
+        assert!(second
+            .degraded()
+            .unwrap()
+            .contains("journal lock unavailable"));
+        assert!(second.is_empty());
+        drop(holder);
+        let s = store(&path, ResumeMode::Fresh);
+        assert!(s.is_empty(), "fresh discards prior records");
+        drop(s);
+        assert!(store(&path, ResumeMode::Resume).is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -42,9 +42,7 @@ use std::sync::{mpsc, Arc, Mutex};
 
 /// A shared cooperative-cancellation token.
 ///
-/// Cloning is cheap (an `Arc`); all clones observe the same flag. The
-/// underlying `Arc<AtomicBool>` is exposed so it can be threaded into
-/// budgets that predate this type (e.g. the prover's `Budget::cancel`).
+/// Cloning is cheap (an `Arc`); all clones observe the same flag.
 ///
 /// Tokens form a one-way hierarchy via [`child`](Self::child):
 /// tripping a parent trips every (live) descendant, but tripping a
@@ -57,7 +55,7 @@ pub struct Cancel(Arc<CancelInner>);
 
 #[derive(Debug, Default)]
 struct CancelInner {
-    flag: Arc<AtomicBool>,
+    flag: AtomicBool,
     children: Mutex<Vec<std::sync::Weak<CancelInner>>>,
 }
 
@@ -65,14 +63,6 @@ impl Cancel {
     /// A fresh, untripped token.
     pub fn new() -> Self {
         Cancel::default()
-    }
-
-    /// A token wrapping an existing flag.
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        Cancel(Arc::new(CancelInner {
-            flag,
-            children: Mutex::new(Vec::new()),
-        }))
     }
 
     /// Trips the token: every holder — and every live child token —
@@ -96,11 +86,6 @@ impl Cancel {
     /// Whether the token has been tripped.
     pub fn is_tripped(&self) -> bool {
         self.0.flag.load(Ordering::Relaxed)
-    }
-
-    /// The underlying shared flag.
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        self.0.flag.clone()
     }
 
     /// A linked child token with its **own** flag: tripping `self`
@@ -527,21 +512,21 @@ mod tests {
     }
 
     #[test]
-    fn dropped_children_are_pruned_and_flags_stay_live() {
+    fn dropped_children_are_pruned_and_held_children_stay_linked() {
         let parent = Cancel::new();
         for _ in 0..64 {
             drop(parent.child());
         }
-        // The solver holds only the child's flag; a parent trip must
-        // still reach it while the flag's batch is in flight.
-        let child = parent.child();
-        let flag = child.flag();
-        drop(child);
+        // A solver holds a clone of its batch's child token; a parent
+        // trip must still reach it while the batch is in flight.
+        let held = parent.child();
         parent.trip(); // prunes dead weak links, must not panic
-        assert!(parent.is_tripped());
-        // The dropped child's raw flag is no longer linked — that is
-        // fine: a batch that ended has nothing left to cancel.
-        let _ = flag;
+        assert!(held.is_tripped());
+        assert_eq!(
+            parent.0.children.lock().unwrap().len(),
+            1,
+            "dead links pruned"
+        );
     }
 
     #[test]

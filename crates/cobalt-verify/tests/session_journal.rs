@@ -283,3 +283,31 @@ fn sessionless_verification_is_transparent() {
         assert!(!b.cached);
     }
 }
+
+/// A warm re-run that replays every record in file order has nothing to
+/// compact: finishing leaves the journal file as it was — same inode,
+/// same bytes, no rewrite and no fsync.
+#[cfg(unix)]
+#[test]
+fn warm_same_order_rerun_leaves_the_journal_untouched() {
+    use std::os::unix::fs::MetadataExt;
+    let path = tmp_journal("untouched");
+    let opts: Vec<Optimization> = cobalt_opts::all_optimizations()
+        .into_iter()
+        .take(3)
+        .collect();
+    let run = || {
+        let mut session = Session::with_journal(verifier(), &path, ResumeMode::Resume).unwrap();
+        for opt in &opts {
+            assert!(session.verify_optimization(opt).unwrap().all_proved());
+        }
+        session.finish();
+        assert!(session.degraded().is_none());
+        let meta = std::fs::metadata(&path).unwrap();
+        (meta.ino(), std::fs::read(&path).unwrap())
+    };
+    let cold = run();
+    let warm = run();
+    assert_eq!(warm, cold, "a warm same-order re-run rewrote the journal");
+    std::fs::remove_file(&path).ok();
+}

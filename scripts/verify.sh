@@ -122,13 +122,18 @@ if [[ $code -ne 0 ]]; then
     echo "journal: resumed verify exited $code (want 0):"; echo "$out"; rm -f "$journal"; exit 1
 fi
 # A third run must be fully warm: no report may show a nonzero fresh
-# count.
+# count. It replays every record in file order, so it must also leave
+# the journal file untouched: same inode, same bytes.
+before=$(stat -c %i "$journal"; cksum <"$journal")
 set +e
 out=$("$COBALT" verify --journal "$journal" --resume 2>&1)
 code=$?
 set -e
 if [[ $code -ne 0 ]]; then
     echo "journal: warm verify exited $code (want 0)"; rm -f "$journal"; exit 1
+fi
+if [[ "$(stat -c %i "$journal"; cksum <"$journal")" != "$before" ]]; then
+    echo "journal: warm same-order verify rewrote the journal"; rm -f "$journal"; exit 1
 fi
 if ! grep -q "cached" <<<"$out"; then
     echo "journal: warm verify reported no cached obligations:"; echo "$out"; rm -f "$journal"; exit 1

@@ -116,7 +116,7 @@ fn degenerate_zero_limits_fail_every_obligation_fast() {
 }
 
 /// Companion to the degenerate-limits fast-fail above, for the other
-/// two ways a solver can be dead on arrival: a pre-tripped cancel flag
+/// two ways a solver can be dead on arrival: a pre-tripped cancel token
 /// (a parallel sibling already found an unsound obligation) and an
 /// already-expired deadline. Both must return a resource-limited
 /// `Unknown` before any search or interning starts — a cancelled
@@ -124,8 +124,8 @@ fn degenerate_zero_limits_fail_every_obligation_fast() {
 /// obligation would make fail-fast cancellation pointless.
 #[test]
 fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
-    use cobalt::logic::{Budget, Formula, Outcome, ProofTask, Solver, Stats};
-    use std::sync::atomic::Ordering;
+    use cobalt::logic::{Formula, Limits, Outcome, ProofTask, Solver, Stats};
+    use cobalt_support::pool::Cancel;
 
     // A goal that trivially proves, so only the fast-fail can explain
     // an Unknown outcome.
@@ -138,9 +138,9 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     };
 
     let mut cancelled = Solver::new();
-    cancelled
-        .cancel_flag()
-        .store(true, Ordering::Relaxed);
+    let cancel = Cancel::new();
+    cancel.trip();
+    cancelled.install_cancel(cancel);
     let task = task_in(&mut cancelled);
     let out = cancelled.prove(&task);
     assert!(out.is_resource_limited(), "{out:?}");
@@ -150,8 +150,10 @@ fn pre_tripped_cancel_and_expired_deadline_fail_before_search() {
     assert!(reason.contains("cancelled by caller before search"), "{reason}");
     assert_eq!(stats, Stats::default(), "no search work may have happened");
 
-    let mut expired = Solver::new();
-    expired.set_budget(Budget::with_deadline(Duration::ZERO));
+    let mut expired = Solver::with_limits(Limits {
+        deadline: Some(Duration::ZERO),
+        ..Limits::default()
+    });
     let task = task_in(&mut expired);
     let out = expired.prove(&task);
     assert!(out.is_resource_limited(), "{out:?}");
@@ -436,6 +438,32 @@ fn strict_driver_surfaces_budget_exhaustion_as_typed_error() {
         }
         other => panic!("expected ResourceLimited, got {other}"),
     }
+}
+
+/// Regression: a deadline that runs out inside an `OptimizeSession`
+/// cancels the session's own worker fleet, never the token its caller
+/// handed in — in `cobalt serve` that is the per-request drain token,
+/// which must stay the daemon's to trip.
+#[test]
+fn optimize_session_deadline_never_trips_the_callers_token() {
+    use cobalt::engine::OptimizeSession;
+    use cobalt_support::pool::Cancel;
+    let caller = Cancel::new();
+    let budget = Budget::unlimited()
+        .with_deadline(Duration::ZERO)
+        .with_cancel(caller.clone());
+    let mut session = OptimizeSession::new(Engine::new(LabelEnv::standard()).with_budget(budget));
+    let (_, report) = session.optimize_program(
+        &cobalt_bench::many_proc_program(3, 30, 5),
+        &cobalt::opts::all_analyses(),
+        &cobalt::opts::default_pipeline(),
+        3,
+    );
+    assert!(report.resource_limited(), "{:#?}", report.failures);
+    assert!(
+        !caller.is_tripped(),
+        "the session tripped its caller's token"
+    );
 }
 
 /// A generous budget is invisible: the governed engine produces exactly
